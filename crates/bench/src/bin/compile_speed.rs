@@ -1,7 +1,7 @@
 //! Compile-speed benchmark: JIT-compiles the whole workload corpus on a
 //! worker pool at parallelism 1/2/4/8 and reports methods/second, speedup
 //! over the single-threaded run, and wall-clock per compilation phase
-//! (build / canonicalize / escape analysis / schedule).
+//! (build / canonicalize / escape analysis / schedule / lower).
 //!
 //! Every method is compiled from a profile snapshot gathered by running
 //! the workload in the interpreter first, so the compilations are
@@ -119,7 +119,7 @@ fn json_report(runs: &[Run], corpus: usize, workloads: usize, repeat: usize) -> 
             "    {{\"parallelism\": {}, \"wall_ms\": {:.3}, \"methods_per_sec\": {:.1}, \
              \"speedup\": {:.3}, \"compiled\": {}, \"bailouts\": {}, \"phase_ms\": \
              {{\"build\": {:.3}, \"canonicalize\": {:.3}, \"escape_analysis\": {:.3}, \
-             \"schedule\": {:.3}}}}}{}\n",
+             \"schedule\": {:.3}, \"lower\": {:.3}}}}}{}\n",
             r.parallelism,
             ms(r.wall),
             r.compiled as f64 / wall,
@@ -130,6 +130,7 @@ fn json_report(runs: &[Run], corpus: usize, workloads: usize, repeat: usize) -> 
             ms(r.phases.canonicalize),
             ms(r.phases.escape_analysis),
             ms(r.phases.schedule),
+            ms(r.phases.lower),
             if i + 1 < runs.len() { "," } else { "" },
         ));
     }
@@ -176,12 +177,12 @@ fn main() {
         repeat,
         std::thread::available_parallelism().map_or(1, |n| n.get()),
     );
-    println!("  par   wall(ms)  methods/s  speedup   build  canon    pea  sched (ms)");
+    println!("  par   wall(ms)  methods/s  speedup   build  canon    pea  sched  lower (ms)");
     let mut runs = Vec::new();
     for parallelism in [1usize, 2, 4, 8] {
         let run = sweep(&items, parallelism, &options);
         println!(
-            "  {:>3}  {:>9.1}  {:>9.1}  {:>7.2}x {:>7.1} {:>6.1} {:>6.1} {:>6.1}",
+            "  {:>3}  {:>9.1}  {:>9.1}  {:>7.2}x {:>7.1} {:>6.1} {:>6.1} {:>6.1} {:>6.1}",
             run.parallelism,
             ms(run.wall),
             run.compiled as f64 / run.wall.as_secs_f64(),
@@ -191,6 +192,7 @@ fn main() {
             ms(run.phases.canonicalize),
             ms(run.phases.escape_analysis),
             ms(run.phases.schedule),
+            ms(run.phases.lower),
         );
         runs.push(run);
     }

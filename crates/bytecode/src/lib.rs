@@ -46,7 +46,7 @@ pub use builder::{LabelId, MethodBuilder, ProgramBuilder};
 pub use ids::{ClassId, FieldId, MethodId, StaticId};
 pub use insn::{CmpOp, Insn};
 pub use program::{
-    Class, ExceptionEntry, Field, Method, Program, ProgramError, StaticDecl, ValueKind,
-    OBJECT_HEADER_BYTES, VALUE_SLOT_BYTES,
+    Class, ClassLayout, ExceptionEntry, Field, Method, Program, ProgramError, StaticDecl,
+    ValueKind, OBJECT_HEADER_BYTES, VALUE_SLOT_BYTES,
 };
 pub use verify::{verify_method, verify_program, VerifyError};

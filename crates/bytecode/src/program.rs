@@ -3,6 +3,7 @@
 use crate::{ClassId, FieldId, Insn, MethodId, StaticId};
 use std::error::Error;
 use std::fmt;
+use std::sync::OnceLock;
 
 /// Bytes occupied by every object header (mirrors a 64-bit JVM with
 /// compressed-oops disabled: mark word + class pointer).
@@ -192,6 +193,34 @@ pub struct Program {
     pub methods: Vec<Method>,
     /// Static-variable arena, indexed by [`StaticId`].
     pub statics: Vec<StaticDecl>,
+    /// Per-class instance layouts, computed on first use; the class and
+    /// field arenas must not change after that (a VM shares its program
+    /// immutably behind an `Arc`).
+    layouts: LayoutCache,
+}
+
+/// The instance layout of one class: what `new` needs without walking
+/// the hierarchy.
+#[derive(Clone, Debug)]
+pub struct ClassLayout {
+    /// Instance fields in slot order: superclass fields first, then
+    /// declared fields.
+    pub fields: Box<[FieldId]>,
+    /// Storage kind of each slot, aligned with `fields` — the template a
+    /// fresh instance's default values are built from.
+    pub kinds: Box<[ValueKind]>,
+    /// Heap size in bytes (see [`Program::object_size`]).
+    pub bytes: u64,
+}
+
+/// Lazily computed [`ClassLayout`] table, indexed by [`ClassId`].
+#[derive(Clone, Default)]
+struct LayoutCache(OnceLock<Box<[ClassLayout]>>);
+
+impl fmt::Debug for LayoutCache {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("LayoutCache")
+    }
 }
 
 // The VM shares one `Arc<Program>` with background compiler threads, so
@@ -306,23 +335,50 @@ impl Program {
     /// All instance fields of a class in layout order: superclass fields
     /// first, then declared fields.
     pub fn instance_fields(&self, class: ClassId) -> Vec<FieldId> {
-        let mut chain = Vec::new();
-        let mut cur = Some(class);
-        while let Some(c) = cur {
-            chain.push(c);
-            cur = self.class(c).superclass;
-        }
-        let mut out = Vec::new();
-        for &c in chain.iter().rev() {
-            out.extend_from_slice(&self.class(c).declared_fields);
-        }
-        out
+        self.layout(class).fields.to_vec()
+    }
+
+    /// The cached instance layout of `class`. The first call computes the
+    /// table for every class at once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the id is out of range.
+    #[inline]
+    pub fn layout(&self, class: ClassId) -> &ClassLayout {
+        &self.layouts.0.get_or_init(|| self.compute_layouts())[class.index()]
+    }
+
+    fn compute_layouts(&self) -> Box<[ClassLayout]> {
+        (0..self.classes.len())
+            .map(|i| {
+                let mut chain = Vec::new();
+                let mut cur = Some(ClassId::from_index(i));
+                while let Some(c) = cur {
+                    chain.push(c);
+                    cur = self.class(c).superclass;
+                }
+                let fields: Box<[FieldId]> = chain
+                    .iter()
+                    .rev()
+                    .flat_map(|&c| self.class(c).declared_fields.iter().copied())
+                    .collect();
+                let kinds = fields.iter().map(|&f| self.field(f).kind).collect();
+                let bytes = OBJECT_HEADER_BYTES + VALUE_SLOT_BYTES * fields.len() as u64;
+                ClassLayout {
+                    fields,
+                    kinds,
+                    bytes,
+                }
+            })
+            .collect()
     }
 
     /// Heap size in bytes of an instance of `class` (header + one slot per
     /// field, matching the paper's "MB per iteration" accounting).
+    #[inline]
     pub fn object_size(&self, class: ClassId) -> u64 {
-        OBJECT_HEADER_BYTES + VALUE_SLOT_BYTES * self.instance_fields(class).len() as u64
+        self.layout(class).bytes
     }
 
     /// Heap size in bytes of an array of `len` elements.

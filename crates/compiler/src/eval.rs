@@ -641,7 +641,7 @@ fn resolve_slot(
         let field_inputs = graph.node(id).inputs().to_vec();
         match shape {
             pea_ir::AllocShape::Instance { class } => {
-                let fields = program.instance_fields(*class);
+                let fields = &program.layout(*class).fields;
                 for (fi, &input) in field_inputs.iter().enumerate() {
                     let v = resolve_slot(program, env, graph, values, remat, inventory, input)?;
                     env.heap().put_field(program, r, fields[fi], v)?;

@@ -6,6 +6,11 @@
 //! come pre-resolved from the artifact, and deopt metadata is read from
 //! the compiled side tables.
 //!
+//! The loop is monomorphized twice over: over the host's [`EvalEnv`] type,
+//! so heap, statics, profiler and safepoint calls are static (and the
+//! back-edge poll can inline), and over the fuel mode, so an unmetered run
+//! charges with a plain register add.
+//!
 //! Cycle parity with graph evaluation is bit-exact: every handler charges
 //! the same `pea_runtime::cost` constants in the same order `evaluate`
 //! does. When the host enforces no fuel limit
@@ -40,9 +45,9 @@ thread_local! {
 ///
 /// Panics if `code` has no [`super::LinearArtifact`] — the VM dispatches
 /// to the graph tier in that case.
-pub fn execute(
+pub fn execute<E: EvalEnv + ?Sized>(
     program: &Program,
-    env: &mut dyn EvalEnv,
+    env: &mut E,
     code: &CompiledMethod,
     args: &[Value],
 ) -> Result<EvalOutcome, VmError> {
@@ -53,39 +58,81 @@ pub fn execute(
     // to the lowered form), so stale values from the frame's previous use
     // are never observable; only the size must fit.
     regs.resize(art.num_regs as usize, Value::Null);
-    let exact = env.has_fuel_limit();
-    let mut pending: u64 = 0;
-    let result = run(program, env, art, args, &mut regs, &mut pending, exact);
+    let result = if env.has_fuel_limit() {
+        run::<E, true>(program, env, art, args, &mut regs)
+    } else {
+        run::<E, false>(program, env, art, args, &mut regs)
+    };
     REG_POOL.with(|p| p.borrow_mut().push(std::mem::take(&mut regs)));
+    result
+}
+
+/// Runs the dispatch loop in one fuel mode. `EXACT` charges every
+/// instruction through [`EvalEnv::charge`] so an out-of-fuel stop lands
+/// on the same instruction as graph evaluation; otherwise charges add up
+/// in a local and are flushed once on exit (which cannot fail: no fuel
+/// limit is in force).
+fn run<E: EvalEnv + ?Sized, const EXACT: bool>(
+    program: &Program,
+    env: &mut E,
+    art: &super::LinearArtifact,
+    args: &[Value],
+    regs: &mut [Value],
+) -> Result<EvalOutcome, VmError> {
+    let mut pending: u64 = 0;
+    let result = dispatch::<E, EXACT>(program, env, art, args, regs, &mut pending);
     if pending > 0 {
-        // No fuel limit is in force (exact mode charges inline), so this
-        // flush cannot fail.
         env.charge(pending)?;
     }
     result
 }
 
+// Inlined into its only caller so `pending` lives in a register.
 #[allow(clippy::too_many_lines)]
-fn run(
+#[inline(always)]
+fn dispatch<E: EvalEnv + ?Sized, const EXACT: bool>(
     program: &Program,
-    env: &mut dyn EvalEnv,
+    env: &mut E,
     art: &super::LinearArtifact,
     args: &[Value],
     regs: &mut [Value],
     pending: &mut u64,
-    exact: bool,
 ) -> Result<EvalOutcome, VmError> {
     let c: &[u32] = &art.code;
     let mut pc = 0usize;
 
     macro_rules! charge {
         ($n:expr) => {
-            if exact {
+            if EXACT {
                 env.charge($n)?;
             } else {
                 *pending += $n;
             }
         };
+    }
+
+    // `[dst, a, b]` integer ALU operation.
+    macro_rules! alu {
+        (|$a:ident, $b:ident| $e:expr) => {{
+            charge!(cost::ALU_OP);
+            let $a = regs[c[pc + 2] as usize].as_int()?;
+            let $b = regs[c[pc + 3] as usize].as_int()?;
+            regs[c[pc + 1] as usize] = Value::Int($e);
+            pc += 4;
+        }};
+    }
+
+    // `[a, b, true_pc, false_pc]` fused compare-and-branch: the `Compare`
+    // node's charge and operand reads, then the `If` node's charge.
+    macro_rules! branch {
+        (|$a:ident, $b:ident| $e:expr) => {{
+            charge!(cost::ALU_OP);
+            let $a = regs[c[pc + 1] as usize].as_int()?;
+            let $b = regs[c[pc + 2] as usize].as_int()?;
+            let taken = $e;
+            charge!(cost::BRANCH_OP);
+            pc = c[pc + if taken { 3 } else { 4 }] as usize;
+        }};
     }
 
     loop {
@@ -102,35 +149,26 @@ fn run(
                 regs[c[pc + 1] as usize] = Value::Null;
                 pc += 2;
             }
-            op::ARITH => {
-                charge!(cost::ALU_OP);
-                let a = regs[c[pc + 3] as usize].as_int()?;
-                let b = regs[c[pc + 4] as usize].as_int()?;
-                let r = match c[pc + 1] {
-                    0 => a.wrapping_add(b),
-                    1 => a.wrapping_sub(b),
-                    2 => a.wrapping_mul(b),
-                    3 => {
-                        if b == 0 {
-                            return Err(VmError::DivisionByZero);
-                        }
-                        a.wrapping_div(b)
-                    }
-                    4 => {
-                        if b == 0 {
-                            return Err(VmError::DivisionByZero);
-                        }
-                        a.wrapping_rem(b)
-                    }
-                    5 => a & b,
-                    6 => a | b,
-                    7 => a ^ b,
-                    8 => a.wrapping_shl((b & 63) as u32),
-                    _ => a.wrapping_shr((b & 63) as u32),
-                };
-                regs[c[pc + 2] as usize] = Value::Int(r);
-                pc += 5;
-            }
+            op::ADD => alu!(|a, b| a.wrapping_add(b)),
+            op::SUB => alu!(|a, b| a.wrapping_sub(b)),
+            op::MUL => alu!(|a, b| a.wrapping_mul(b)),
+            op::DIV => alu!(|a, b| {
+                if b == 0 {
+                    return Err(VmError::DivisionByZero);
+                }
+                a.wrapping_div(b)
+            }),
+            op::REM => alu!(|a, b| {
+                if b == 0 {
+                    return Err(VmError::DivisionByZero);
+                }
+                a.wrapping_rem(b)
+            }),
+            op::AND => alu!(|a, b| a & b),
+            op::OR => alu!(|a, b| a | b),
+            op::XOR => alu!(|a, b| a ^ b),
+            op::SHL => alu!(|a, b| a.wrapping_shl((b & 63) as u32)),
+            op::SHR => alu!(|a, b| a.wrapping_shr((b & 63) as u32)),
             op::NEG => {
                 charge!(cost::ALU_OP);
                 let a = regs[c[pc + 2] as usize].as_int()?;
@@ -416,22 +454,25 @@ fn run(
                 let cond = regs[c[pc + 1] as usize].as_bool()?;
                 pc = if cond { c[pc + 2] } else { c[pc + 3] } as usize;
             }
-            op::EDGE_END => {
+            op::BR_EQ => branch!(|a, b| a == b),
+            op::BR_NE => branch!(|a, b| a != b),
+            op::BR_LT => branch!(|a, b| a < b),
+            op::BR_LE => branch!(|a, b| a <= b),
+            op::BR_GT => branch!(|a, b| a > b),
+            op::BR_GE => branch!(|a, b| a >= b),
+            op::EDGE => {
                 charge!(cost::BRANCH_OP);
-                pc += 1;
+                pc = edge_moves(c, pc, regs);
             }
-            op::EDGE_LOOP_END => {
+            op::LOOP_EDGE => {
                 charge!(cost::BRANCH_OP);
                 // Compiled-code safepoint at the loop back-edge.
                 env.safepoint();
-                pc += 1;
+                pc = edge_moves(c, pc, regs);
             }
             op::MOVE => {
                 regs[c[pc + 1] as usize] = regs[c[pc + 2] as usize];
                 pc += 3;
-            }
-            op::JUMP => {
-                pc = c[pc + 1] as usize;
             }
             op::RETURN => {
                 let src = c[pc + 1];
@@ -459,14 +500,26 @@ fn run(
     }
 }
 
+/// Performs the phi moves of the `EDGE`/`LOOP_EDGE` instruction at `pc`
+/// (a parallel assignment already sequentialized by the lowering) and
+/// returns its jump target.
+#[inline(always)]
+fn edge_moves(c: &[u32], pc: usize, regs: &mut [Value]) -> usize {
+    let n = c[pc + 2] as usize;
+    for m in c[pc + 3..pc + 3 + 2 * n].chunks_exact(2) {
+        regs[m[0] as usize] = regs[m[1] as usize];
+    }
+    c[pc + 1] as usize
+}
+
 /// Reconstructs the interpreter frame chain from a compiled deopt point,
 /// rematerializing virtual objects (paper §5.5). Mirrors the graph
 /// evaluator's `build_deopt_frames` exactly — same allocation order, same
 /// inventory labels, same lock re-entries — so traces and stats are
 /// byte-identical between the tiers.
-fn materialize_frames(
+fn materialize_frames<E: EvalEnv + ?Sized>(
     program: &Program,
-    env: &mut dyn EvalEnv,
+    env: &mut E,
     point: &DeoptPoint,
     regs: &[Value],
 ) -> Result<(Vec<DeoptFrame>, Vec<String>), VmError> {
@@ -518,9 +571,9 @@ fn materialize_frames(
 /// Resolves one compiled frame-state slot: registers read the frame,
 /// virtual objects are rematerialized (cycle-safe two-phase construction,
 /// locks re-entered).
-fn resolve_slot(
+fn resolve_slot<E: EvalEnv + ?Sized>(
     program: &Program,
-    env: &mut dyn EvalEnv,
+    env: &mut E,
     point: &DeoptPoint,
     regs: &[Value],
     cache: &mut [Option<ObjRef>],

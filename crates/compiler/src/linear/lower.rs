@@ -4,13 +4,22 @@
 //! post order (entry first), with every scheduled node translated in its
 //! exact schedule position so the per-instruction cycle charges replay in
 //! the same order graph evaluation performs them. Phi updates are lowered
-//! onto the predecessor edges as parallel-move sequences (a merge block's
-//! predecessor order follows its `ends` list, which is phi-input order),
-//! and frame states are compiled into self-contained [`DeoptPoint`]
-//! tables so execution never touches the graph.
+//! onto the predecessor edges as parallel-move sequences carried by the
+//! edge instruction (a merge block's predecessor order follows its `ends`
+//! list, which is phi-input order), and frame states are compiled into
+//! self-contained [`DeoptPoint`] tables so execution never touches the
+//! graph.
+//!
+//! A fusion pre-pass picks the comparisons that lower into a fused
+//! compare-and-branch ([`op::BR_EQ`] ..): a `Compare` whose only user is
+//! the `If` ending its block, when every node scheduled between the two
+//! charges exactly [`cost::ALU_OP`] or nothing and cannot fail. The
+//! comparison is then emitted at the `If`'s position; moving one `ALU_OP`
+//! charge across other `ALU_OP` charges leaves the sequence of charges —
+//! and so every running total a fuel check can observe — unchanged.
 
 use super::{
-    arith_code, class_code, cmp_code, kind_code, op, reason_code, CommitFieldSrc, DeoptPoint,
+    arith_opcode, class_code, cmp_code, kind_code, op, reason_code, CommitFieldSrc, DeoptPoint,
     LinearArtifact, LinearCommit, LinearCommitObj, LinearFrame, LinearVObj, SlotSrc, NO_REG,
 };
 use pea_bytecode::{FieldId, Program};
@@ -64,6 +73,7 @@ pub fn lower(
         commit_map: HashMap::new(),
         alloc_dsts: HashMap::new(),
         alloc_primary: HashMap::new(),
+        fused: vec![false; graph.len()],
     }
     .run()
 }
@@ -92,6 +102,9 @@ struct Lowerer<'a> {
     /// The designated `AllocatedObject` node per `(commit, object index)`;
     /// other nodes for the same slot become register moves.
     alloc_primary: HashMap<(NodeId, usize), NodeId>,
+    /// `Compare` nodes lowered into their `If` as a fused
+    /// compare-and-branch (indexed by node).
+    fused: Vec<bool>,
 }
 
 impl Lowerer<'_> {
@@ -113,6 +126,8 @@ impl Lowerer<'_> {
                 }
             }
         }
+
+        self.mark_fused_compares();
 
         debug_assert_eq!(
             self.cfg.rpo[0],
@@ -139,6 +154,52 @@ impl Lowerer<'_> {
             deopts: self.deopts,
             commits: self.commits,
         })
+    }
+
+    /// The fusion pre-pass (see the module docs): marks every `Compare`
+    /// that the block-ending `If` can evaluate itself.
+    fn mark_fused_compares(&mut self) {
+        for b in &self.cfg.rpo {
+            let order = &self.schedule.per_block[b.index()];
+            let Some((&iff, body)) = order.split_last() else {
+                continue;
+            };
+            if !matches!(self.graph.kind(iff), NodeKind::If) {
+                continue;
+            }
+            let cond = self.graph.node(iff).inputs()[0];
+            if !matches!(self.graph.kind(cond), NodeKind::Compare { .. })
+                || self.graph.uses(cond) != [iff]
+            {
+                continue;
+            }
+            let Some(at) = body.iter().position(|&n| n == cond) else {
+                continue;
+            };
+            if body[at + 1..].iter().all(|&n| self.is_alu_or_free(n)) {
+                self.fused[cond.index()] = true;
+            }
+        }
+    }
+
+    /// Whether `n` charges exactly [`cost::ALU_OP`] or nothing and cannot
+    /// fail (on verified code), so a comparison may be sunk past it.
+    fn is_alu_or_free(&self, n: NodeId) -> bool {
+        match self.graph.kind(n) {
+            NodeKind::Arith { op: aop } | NodeKind::FixedArith { op: aop } => {
+                !matches!(aop, ArithOp::Div | ArithOp::Rem)
+            }
+            NodeKind::Compare { .. }
+            | NodeKind::Param { .. }
+            | NodeKind::ConstInt { .. }
+            | NodeKind::ConstNull
+            | NodeKind::Start
+            | NodeKind::Begin
+            | NodeKind::LoopExit { .. }
+            | NodeKind::Merge { .. }
+            | NodeKind::LoopBegin { .. } => true,
+            _ => false,
+        }
     }
 
     fn pc(&self) -> Result<u32, LowerError> {
@@ -215,8 +276,11 @@ impl Lowerer<'_> {
                     self.emit(&[op::NEG, dst, a]);
                 } else {
                     let b = self.reg_of(inputs[1]);
-                    self.emit(&[op::ARITH, arith_code(aop), dst, a, b]);
+                    self.emit(&[arith_opcode(aop), dst, a, b]);
                 }
+            }
+            NodeKind::Compare { .. } if self.fused[n.index()] => {
+                // Evaluated by the fused branch at its `If`.
             }
             NodeKind::Compare { op: cop } => {
                 let a = self.reg_of(inputs[0]);
@@ -411,24 +475,36 @@ impl Lowerer<'_> {
                 self.emit(&[op::DEOPT, reason_code(reason), deopt]);
             }
             NodeKind::If => {
-                let cond = self.reg_of(inputs[0]);
                 let t = self.cfg.block_of(node.successors()[0]);
                 let f = self.cfg.block_of(node.successors()[1]);
-                self.emit(&[op::IF, cond]);
+                let cond = inputs[0];
+                match self.graph.kind(cond) {
+                    NodeKind::Compare { op: cop } if self.fused[cond.index()] => {
+                        let cmp = self.graph.node(cond).inputs();
+                        let (a, b) = (cmp[0], cmp[1]);
+                        let (a, b) = (self.reg_of(a), self.reg_of(b));
+                        self.emit(&[op::BR_EQ + cmp_code(*cop), a, b]);
+                    }
+                    _ => {
+                        let cond = self.reg_of(cond);
+                        self.emit(&[op::IF, cond]);
+                    }
+                }
                 self.emit_target(t);
                 self.emit_target(f);
             }
             NodeKind::End | NodeKind::LoopEnd => {
                 let is_loop = matches!(self.graph.kind(n), NodeKind::LoopEnd);
-                self.emit(&[if is_loop {
-                    op::EDGE_LOOP_END
-                } else {
-                    op::EDGE_END
-                }]);
                 let succ = self.cfg.block(block).succs[0];
-                self.emit_phi_moves(succ, n)?;
-                self.emit(&[op::JUMP]);
+                let moves = self.phi_moves(succ, n)?;
+                self.emit(&[if is_loop { op::LOOP_EDGE } else { op::EDGE }]);
                 self.emit_target(succ);
+                let count = u32::try_from(moves.len())
+                    .map_err(|_| LowerError("too many phi moves".into()))?;
+                self.emit(&[count]);
+                for (d, s) in moves {
+                    self.emit(&[d, s]);
+                }
             }
             NodeKind::Return => {
                 let src = match inputs.first() {
@@ -452,15 +528,16 @@ impl Lowerer<'_> {
         Ok(())
     }
 
-    /// Emits the phi parallel assignment for the edge `end → succ` as a
-    /// sequence of moves (cycles broken through the dedicated temp
-    /// register). Free of cycle charges, like graph evaluation's phi
+    /// The phi parallel assignment for the edge `end → succ` as a
+    /// sequence of `(dst, src)` moves (cycles broken through the dedicated
+    /// temp register). Free of cycle charges, like graph evaluation's phi
     /// update.
-    fn emit_phi_moves(&mut self, succ: BlockId, end: NodeId) -> Result<(), LowerError> {
+    fn phi_moves(&mut self, succ: BlockId, end: NodeId) -> Result<Vec<(u32, u32)>, LowerError> {
+        let mut out = Vec::new();
         let first = self.cfg.block(succ).first();
         let ends: Vec<NodeId> = match self.graph.kind(first) {
             NodeKind::Merge { ends } | NodeKind::LoopBegin { ends } => ends.clone(),
-            _ => return Ok(()),
+            _ => return Ok(out),
         };
         let idx = ends
             .iter()
@@ -483,15 +560,12 @@ impl Lowerer<'_> {
                 .iter()
                 .position(|&(d, _)| moves.iter().all(|&(_, s)| s != d));
             match ready {
-                Some(i) => {
-                    let (d, s) = moves.remove(i);
-                    self.emit(&[op::MOVE, d, s]);
-                }
+                Some(i) => out.push(moves.remove(i)),
                 None => {
                     let (d, s) = moves.remove(0);
                     let t = self.temp();
-                    self.emit(&[op::MOVE, t, d]);
-                    self.emit(&[op::MOVE, d, s]);
+                    out.push((t, d));
+                    out.push((d, s));
                     for m in &mut moves {
                         if m.1 == d {
                             m.1 = t;
@@ -500,7 +574,7 @@ impl Lowerer<'_> {
                 }
             }
         }
-        Ok(())
+        Ok(out)
     }
 
     /// Pre-resolves a field access to `(declaring class, slot)`. Object
@@ -618,5 +692,85 @@ impl Lowerer<'_> {
         }
         vobjs[idx as usize].fields = fields;
         Ok(SlotSrc::Virtual(idx))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{compile, CompilerOptions, OptLevel};
+    use pea_bytecode::CmpOp;
+    use pea_ir::dom::DomTree;
+
+    fn count(listing: &str, prefix: &str) -> usize {
+        listing
+            .lines()
+            .filter(|l| {
+                l.split_once(": ")
+                    .is_some_and(|(_, i)| i.starts_with(prefix))
+            })
+            .count()
+    }
+
+    #[test]
+    fn ballast_loop_fuses_its_compare_and_back_edge() {
+        let src = "method p 1 returns {
+                load 0 store 1
+                const 0 store 2
+            Lh:
+                load 2 const 100 ifcmp ge Ld
+                load 1 load 2 xor load 2 add store 1
+                load 1 const 13 mul load 1 add store 1
+                load 2 const 1 add store 2
+                goto Lh
+            Ld:
+                load 1 retv
+            }";
+        let program = pea_bytecode::asm::parse_program(src).unwrap();
+        let method = program.static_method_by_name("p").unwrap();
+        let options = CompilerOptions::with_opt_level(OptLevel::Pea);
+        let code = compile(&program, method, None, &options).unwrap();
+        let listing = code.linear.as_ref().unwrap().disassemble();
+        assert_eq!(count(&listing, "br.ge "), 1, "{listing}");
+        assert_eq!(count(&listing, "backedge "), 1, "{listing}");
+        assert_eq!(count(&listing, "cmp."), 0, "{listing}");
+        assert_eq!(count(&listing, "if "), 0, "{listing}");
+        assert_eq!(
+            count(&listing, "mov "),
+            0,
+            "phi moves ride the edges:\n{listing}"
+        );
+    }
+
+    /// `if (a < b) x = c else x = 0; return x` with the comparison also
+    /// feeding the phi: it must stay a register value.
+    #[test]
+    fn compare_with_a_second_user_is_not_fused() {
+        let mut g = Graph::new();
+        let a = g.add(NodeKind::Param { index: 0 }, vec![]);
+        let b = g.add(NodeKind::Param { index: 1 }, vec![]);
+        let cmp = g.add(NodeKind::Compare { op: CmpOp::Lt }, vec![a, b]);
+        let iff = g.add(NodeKind::If, vec![cmp]);
+        g.set_next(g.start, iff);
+        let t = g.add(NodeKind::Begin, vec![]);
+        let f = g.add(NodeKind::Begin, vec![]);
+        g.set_if_targets(iff, t, f);
+        let te = g.add(NodeKind::End, vec![]);
+        g.set_next(t, te);
+        let fe = g.add(NodeKind::End, vec![]);
+        g.set_next(f, fe);
+        let merge = g.add(NodeKind::Merge { ends: vec![te, fe] }, vec![]);
+        let zero = g.const_int(0);
+        let phi = g.add(NodeKind::Phi { merge }, vec![cmp, zero]);
+        let ret = g.add(NodeKind::Return, vec![phi]);
+        g.set_next(merge, ret);
+        let cfg = Cfg::build(&g);
+        let dom = DomTree::build(&cfg);
+        let schedule = Schedule::build(&g, &cfg, &dom);
+        let art = lower(&Program::default(), &g, &cfg, &schedule).unwrap();
+        let listing = art.disassemble();
+        assert_eq!(count(&listing, "br."), 0, "{listing}");
+        assert_eq!(count(&listing, "cmp.lt "), 1, "{listing}");
+        assert_eq!(count(&listing, "if "), 1, "{listing}");
     }
 }

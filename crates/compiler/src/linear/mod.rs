@@ -31,12 +31,22 @@ use pea_ir::AllocShape;
 pub const NO_REG: u32 = u32::MAX;
 
 /// Opcodes of the linear register machine. One `u32` word each, followed
-/// by a fixed (per-opcode) number of operand words; `Invoke` adds a
-/// trailing variable-length argument-register list.
+/// by a fixed (per-opcode) number of operand words; `INVOKE`, `EDGE` and
+/// `LOOP_EDGE` add a trailing variable-length list.
 ///
 /// The dispatch loop is a dense jump table over these values (Rust has no
 /// computed goto, but the compiler lowers the exhaustive `match` on a
 /// dense `u32` range to the same direct-threaded table).
+///
+/// Three kinds of superinstruction cut dispatches on hot paths, each
+/// charging exactly what the graph nodes it replaces charge, in the same
+/// order:
+///
+/// | opcodes | replaces | charges |
+/// |---|---|---|
+/// | `ADD` … `SHR` | one `Arith` node (no operator sub-dispatch) | `ALU_OP` |
+/// | `BR_EQ` … `BR_GE` | a `Compare` whose only user is the `If` ending its block, and that `If` | `ALU_OP`, then `BRANCH_OP` |
+/// | `EDGE`, `LOOP_EDGE` | an `End`/`LoopEnd`, its phi moves and the jump | `BRANCH_OP` (then the safepoint poll on `LOOP_EDGE`) |
 pub mod op {
     /// `[dst, index]` — load method argument `index`.
     pub const LOAD_PARAM: u32 = 0;
@@ -44,71 +54,103 @@ pub mod op {
     pub const CONST_INT: u32 = 1;
     /// `[dst]` — load null.
     pub const CONST_NULL: u32 = 2;
-    /// `[arith_op, dst, a, b]` — binary arithmetic (wrapping; Div/Rem trap).
-    pub const ARITH: u32 = 3;
+    /// `[dst, a, b]` — wrapping addition.
+    pub const ADD: u32 = 3;
+    /// `[dst, a, b]` — wrapping subtraction.
+    pub const SUB: u32 = 4;
+    /// `[dst, a, b]` — wrapping multiplication.
+    pub const MUL: u32 = 5;
+    /// `[dst, a, b]` — wrapping division; traps on a zero divisor.
+    pub const DIV: u32 = 6;
+    /// `[dst, a, b]` — wrapping remainder; traps on a zero divisor.
+    pub const REM: u32 = 7;
+    /// `[dst, a, b]` — bitwise and.
+    pub const AND: u32 = 8;
+    /// `[dst, a, b]` — bitwise or.
+    pub const OR: u32 = 9;
+    /// `[dst, a, b]` — bitwise exclusive or.
+    pub const XOR: u32 = 10;
+    /// `[dst, a, b]` — left shift by `b & 63`.
+    pub const SHL: u32 = 11;
+    /// `[dst, a, b]` — arithmetic right shift by `b & 63`.
+    pub const SHR: u32 = 12;
     /// `[dst, a]` — wrapping negation.
-    pub const NEG: u32 = 4;
-    /// `[cmp_op, dst, a, b]` — integer comparison producing 0/1.
-    pub const COMPARE: u32 = 5;
+    pub const NEG: u32 = 13;
+    /// `[cmp_op, dst, a, b]` — integer comparison producing 0/1 (a
+    /// comparison the lowering could not fuse into a branch).
+    pub const COMPARE: u32 = 14;
     /// `[dst, a, b]` — reference identity producing 0/1.
-    pub const REF_EQ: u32 = 6;
+    pub const REF_EQ: u32 = 15;
     /// `[dst, a]` — null test producing 0/1.
-    pub const IS_NULL: u32 = 7;
+    pub const IS_NULL: u32 = 16;
     /// `[dst, a, class, exact]` — type test producing 0/1.
-    pub const INSTANCE_OF: u32 = 8;
+    pub const INSTANCE_OF: u32 = 17;
     /// `[dst, a, class]` — checked cast (passes the value through).
-    pub const CHECK_CAST: u32 = 9;
+    pub const CHECK_CAST: u32 = 18;
     /// `[dst, class, alloc_cycles]` — allocate an instance.
-    pub const NEW: u32 = 10;
+    pub const NEW: u32 = 19;
     /// `[dst, len_reg, kind]` — allocate an array.
-    pub const NEW_ARRAY: u32 = 11;
+    pub const NEW_ARRAY: u32 = 20;
     /// `[dst, obj, declaring_class, slot, field]` — read an instance
     /// field at a pre-resolved offset (`field` is the slow-path id).
-    pub const LOAD_FIELD: u32 = 12;
+    pub const LOAD_FIELD: u32 = 21;
     /// `[obj, val, declaring_class, slot, field]` — write an instance
     /// field at a pre-resolved offset.
-    pub const STORE_FIELD: u32 = 13;
+    pub const STORE_FIELD: u32 = 22;
     /// `[dst, arr, idx]` — read an array element.
-    pub const LOAD_INDEXED: u32 = 14;
+    pub const LOAD_INDEXED: u32 = 23;
     /// `[arr, idx, val]` — write an array element.
-    pub const STORE_INDEXED: u32 = 15;
+    pub const STORE_INDEXED: u32 = 24;
     /// `[dst, arr]` — array length.
-    pub const ARRAY_LEN: u32 = 16;
+    pub const ARRAY_LEN: u32 = 25;
     /// `[obj]` — monitor enter.
-    pub const MONITOR_ENTER: u32 = 17;
+    pub const MONITOR_ENTER: u32 = 26;
     /// `[obj]` — monitor exit.
-    pub const MONITOR_EXIT: u32 = 18;
+    pub const MONITOR_EXIT: u32 = 27;
     /// `[dst, static_id]` — read a static variable.
-    pub const GET_STATIC: u32 = 19;
+    pub const GET_STATIC: u32 = 28;
     /// `[val, static_id]` — write a static variable.
-    pub const PUT_STATIC: u32 = 20;
+    pub const PUT_STATIC: u32 = 29;
     /// `[target, virtual, dst, deopt_idx, argc, args...]` — out-of-line
     /// call; `dst` is [`super::NO_REG`] for void targets. A thrown callee
     /// exception deoptimizes through deopt point `deopt_idx`.
-    pub const INVOKE: u32 = 21;
+    pub const INVOKE: u32 = 30;
     /// `[commit_idx]` — materialize a virtual-object group
     /// ([`super::LinearCommit`]).
-    pub const COMMIT: u32 = 22;
+    pub const COMMIT: u32 = 31;
     /// `[cond, negated, reason, deopt_idx]` — speculation guard.
-    pub const GUARD: u32 = 23;
+    pub const GUARD: u32 = 32;
     /// `[reason, deopt_idx]` — unconditional transfer to the interpreter.
-    pub const DEOPT: u32 = 24;
-    /// `[cond, true_pc, false_pc]` — two-way branch.
-    pub const IF: u32 = 25;
-    /// `[]` — forward edge into a merge (charges the branch cost).
-    pub const EDGE_END: u32 = 26;
-    /// `[]` — loop back edge: branch cost plus a safepoint poll.
-    pub const EDGE_LOOP_END: u32 = 27;
-    /// `[dst, src]` — register move (phi parallel-assignment step; free).
-    pub const MOVE: u32 = 28;
-    /// `[pc]` — unconditional jump.
-    pub const JUMP: u32 = 29;
+    pub const DEOPT: u32 = 33;
+    /// `[cond, true_pc, false_pc]` — two-way branch on a 0/1 value.
+    pub const IF: u32 = 34;
+    /// `[a, b, true_pc, false_pc]` — fused compare-and-branch on `a == b`.
+    pub const BR_EQ: u32 = 35;
+    /// `[a, b, true_pc, false_pc]` — fused compare-and-branch on `a != b`.
+    pub const BR_NE: u32 = 36;
+    /// `[a, b, true_pc, false_pc]` — fused compare-and-branch on `a < b`.
+    pub const BR_LT: u32 = 37;
+    /// `[a, b, true_pc, false_pc]` — fused compare-and-branch on `a <= b`.
+    pub const BR_LE: u32 = 38;
+    /// `[a, b, true_pc, false_pc]` — fused compare-and-branch on `a > b`.
+    pub const BR_GT: u32 = 39;
+    /// `[a, b, true_pc, false_pc]` — fused compare-and-branch on `a >= b`.
+    pub const BR_GE: u32 = 40;
+    /// `[target_pc, n, (dst, src) * n]` — forward edge into a merge:
+    /// branch cost, the phi parallel assignment as `n` sequential moves
+    /// (free), then the jump.
+    pub const EDGE: u32 = 41;
+    /// `[target_pc, n, (dst, src) * n]` — loop back edge: like
+    /// [`EDGE`], with a safepoint poll between the charge and the moves.
+    pub const LOOP_EDGE: u32 = 42;
+    /// `[dst, src]` — register move (free).
+    pub const MOVE: u32 = 43;
     /// `[src]` — return (`src` may be [`super::NO_REG`]).
-    pub const RETURN: u32 = 30;
+    pub const RETURN: u32 = 44;
     /// `[src]` — user exception with error code `src`.
-    pub const THROW: u32 = 31;
+    pub const THROW: u32 = 45;
     /// `[src]` — propagate exception object `src` out of the frame.
-    pub const UNWIND: u32 = 32;
+    pub const UNWIND: u32 = 46;
 }
 
 /// Where a deopt-metadata or commit-template slot gets its value.
@@ -257,16 +299,16 @@ impl LinearArtifact {
                     let _ = writeln!(out, "null {}", reg(c[pc + 1]));
                     pc += 2;
                 }
-                op::ARITH => {
+                op::ADD..=op::SHR => {
                     let _ = writeln!(
                         out,
-                        "arith[{}] {} <- {}, {}",
-                        c[pc + 1],
+                        "{} {} <- {}, {}",
+                        ARITH_NAMES[(c[pc] - op::ADD) as usize],
+                        reg(c[pc + 1]),
                         reg(c[pc + 2]),
-                        reg(c[pc + 3]),
-                        reg(c[pc + 4])
+                        reg(c[pc + 3])
                     );
-                    pc += 5;
+                    pc += 4;
                 }
                 op::NEG => {
                     let _ = writeln!(out, "neg {} <- {}", reg(c[pc + 1]), reg(c[pc + 2]));
@@ -275,8 +317,8 @@ impl LinearArtifact {
                 op::COMPARE => {
                     let _ = writeln!(
                         out,
-                        "cmp[{}] {} <- {}, {}",
-                        c[pc + 1],
+                        "cmp.{} {} <- {}, {}",
+                        CMP_NAMES[c[pc + 1] as usize],
                         reg(c[pc + 2]),
                         reg(c[pc + 3]),
                         reg(c[pc + 4])
@@ -453,21 +495,41 @@ impl LinearArtifact {
                     );
                     pc += 4;
                 }
-                op::EDGE_END => {
-                    let _ = writeln!(out, "edge");
-                    pc += 1;
+                op::BR_EQ..=op::BR_GE => {
+                    let _ = writeln!(
+                        out,
+                        "br.{} {}, {} then {} else {}",
+                        CMP_NAMES[(c[pc] - op::BR_EQ) as usize],
+                        reg(c[pc + 1]),
+                        reg(c[pc + 2]),
+                        c[pc + 3],
+                        c[pc + 4]
+                    );
+                    pc += 5;
                 }
-                op::EDGE_LOOP_END => {
-                    let _ = writeln!(out, "backedge (safepoint)");
-                    pc += 1;
+                op::EDGE | op::LOOP_EDGE => {
+                    let n = c[pc + 2] as usize;
+                    let moves: Vec<String> = (0..n)
+                        .map(|i| {
+                            format!("{} <- {}", reg(c[pc + 3 + 2 * i]), reg(c[pc + 4 + 2 * i]))
+                        })
+                        .collect();
+                    let _ = writeln!(
+                        out,
+                        "{} -> {} [{}]",
+                        if c[pc] == op::LOOP_EDGE {
+                            "backedge (safepoint)"
+                        } else {
+                            "edge"
+                        },
+                        c[pc + 1],
+                        moves.join(", ")
+                    );
+                    pc += 3 + 2 * n;
                 }
                 op::MOVE => {
                     let _ = writeln!(out, "mov {} <- {}", reg(c[pc + 1]), reg(c[pc + 2]));
                     pc += 3;
-                }
-                op::JUMP => {
-                    let _ = writeln!(out, "jump {}", c[pc + 1]);
-                    pc += 2;
                 }
                 op::RETURN => {
                     let _ = writeln!(out, "ret {}", reg(c[pc + 1]));
@@ -491,20 +553,29 @@ impl LinearArtifact {
     }
 }
 
-/// Encodes an [`pea_ir::ArithOp`] as an instruction operand.
-pub(crate) fn arith_code(op: pea_ir::ArithOp) -> u32 {
+/// Disassembly mnemonics of [`op::ADD`] ..= [`op::SHR`], in opcode order.
+const ARITH_NAMES: [&str; 10] = [
+    "add", "sub", "mul", "div", "rem", "and", "or", "xor", "shl", "shr",
+];
+
+/// Disassembly mnemonics of the comparison operators, in
+/// [`cmp_code`] order (also [`op::BR_EQ`] ..= [`op::BR_GE`] order).
+const CMP_NAMES: [&str; 6] = ["eq", "ne", "lt", "le", "gt", "ge"];
+
+/// The opcode of a binary [`pea_ir::ArithOp`].
+pub(crate) fn arith_opcode(aop: pea_ir::ArithOp) -> u32 {
     use pea_ir::ArithOp::*;
-    match op {
-        Add => 0,
-        Sub => 1,
-        Mul => 2,
-        Div => 3,
-        Rem => 4,
-        And => 5,
-        Or => 6,
-        Xor => 7,
-        Shl => 8,
-        Shr => 9,
+    match aop {
+        Add => op::ADD,
+        Sub => op::SUB,
+        Mul => op::MUL,
+        Div => op::DIV,
+        Rem => op::REM,
+        And => op::AND,
+        Or => op::OR,
+        Xor => op::XOR,
+        Shl => op::SHL,
+        Shr => op::SHR,
         Neg => unreachable!("unary negation uses op::NEG"),
     }
 }

@@ -150,12 +150,13 @@ impl Heap {
 
     /// Allocates a class instance with default-valued fields.
     pub fn alloc_instance(&mut self, program: &Program, class: ClassId) -> ObjRef {
-        let fields = program
-            .instance_fields(class)
+        let layout = program.layout(class);
+        let fields = layout
+            .kinds
             .iter()
-            .map(|&f| Value::default_for(program.field(f).kind))
+            .map(|&k| Value::default_for(k))
             .collect();
-        let bytes = program.object_size(class);
+        let bytes = layout.bytes;
         self.stats.record_alloc(bytes);
         self.recorder.record_instance(class.index(), bytes);
         self.push(HeapObject::Instance { class, fields })
@@ -224,7 +225,8 @@ impl Heap {
     fn field_slot(&self, program: &Program, r: ObjRef, field: FieldId) -> Result<usize, VmError> {
         let class = self.class_of(r)?;
         program
-            .instance_fields(class)
+            .layout(class)
+            .fields
             .iter()
             .position(|&f| f == field)
             .ok_or_else(|| {

@@ -1523,6 +1523,24 @@ impl Mutator {
         }
     }
 
+    /// The slow path of the compiled back-edge poll ([`EvalEnv::safepoint`]).
+    #[cold]
+    #[inline(never)]
+    fn compiled_safepoint(&mut self) {
+        if let Some(m) = self.options.metrics.on() {
+            m.vm.safepoint_polls.inc();
+        }
+        // Compiled-loop back-edge: install anything the background
+        // compilers finished, so compiled-only phases (hot caller with
+        // inlined or compiled callees) cannot starve installs — and poll
+        // the rendezvous, so a spinning compiled loop still releases
+        // eviction epochs for reclamation.
+        if self.options.jit_mode == JitMode::Background {
+            self.drain_background();
+        }
+        self.poll_publication();
+    }
+
     fn charge_cycles(&mut self, cycles: u64) -> Result<(), VmError> {
         self.profile.charge(cycles);
         self.heap.stats.cycles += cycles;
@@ -1710,19 +1728,21 @@ impl EvalEnv for Mutator {
     fn has_fuel_limit(&self) -> bool {
         self.options.fuel.is_some()
     }
+    /// The compiled back-edge poll. The fast path returns exactly when
+    /// [`Mutator::compiled_safepoint`] would do nothing: no metrics to
+    /// count, no background compiles to drain, no store generation to
+    /// catch up with and no retired entries to reclaim.
+    #[inline]
     fn safepoint(&mut self) {
-        if let Some(m) = self.options.metrics.on() {
-            m.vm.safepoint_polls.inc();
+        let cache = &self.shared.code_cache;
+        if self.options.metrics.on().is_none()
+            && self.options.jit_mode == JitMode::Sync
+            && cache.generation() == self.view.generation()
+            && cache.retired_len() == 0
+        {
+            return;
         }
-        // Compiled-loop back-edge: install anything the background
-        // compilers finished, so compiled-only phases (hot caller with
-        // inlined or compiled callees) cannot starve installs — and poll
-        // the rendezvous, so a spinning compiled loop still releases
-        // eviction epochs for reclamation.
-        if self.options.jit_mode == JitMode::Background {
-            self.drain_background();
-        }
-        self.poll_publication();
+        self.compiled_safepoint();
     }
     fn profiler(&self) -> &ProfileRecorder {
         &self.profile
@@ -1915,5 +1935,98 @@ mod tests {
             Some(Value::Int(42))
         );
         assert_eq!(warm.stats().compiles, 0, "no recompilation needed");
+    }
+
+    /// A throwaway published entry for driving the shared store directly.
+    fn cached(program: &Program, fingerprint: u64) -> CachedCompile {
+        let f = program.static_method_by_name("f").unwrap();
+        let options = pea_compiler::CompilerOptions::with_opt_level(OptLevel::Pea);
+        CachedCompile {
+            result: Ok(Arc::new(compile(program, f, None, &options).unwrap())),
+            fingerprint,
+            traced: false,
+            events: Vec::new(),
+            findings: Vec::new(),
+        }
+    }
+
+    #[test]
+    fn compiled_safepoint_refreshes_a_stale_view() {
+        let v = vm(
+            "method f 1 returns { load 0 const 1 add retv }",
+            VmOptions::with_opt_level(OptLevel::Pea),
+        );
+        let mut reader = v.spawn_mutator();
+        let mut publisher = v.spawn_mutator();
+        for i in 0..100 {
+            publisher.call_entry("f", &[Value::Int(i)]).unwrap();
+        }
+        let cache = &v.shared().code_cache;
+        assert!(
+            cache.generation() > reader.view.generation(),
+            "publisher published"
+        );
+        EvalEnv::safepoint(&mut reader);
+        assert_eq!(reader.view.generation(), cache.generation());
+        assert_eq!(reader.slot.seen(), cache.generation());
+    }
+
+    #[test]
+    fn compiled_safepoint_reclaims_retired_entries() {
+        let v = vm(
+            "method f 1 returns { load 0 const 1 add retv }",
+            VmOptions::with_opt_level(OptLevel::Pea),
+        );
+        let mut poller = v.spawn_mutator();
+        let mut laggard = v.spawn_mutator();
+        let cache = &v.shared().code_cache;
+        let f = v.program().static_method_by_name("f").unwrap();
+        cache.publish(f, cached(v.program(), 1));
+        // A running mutator that has not polled past the eviction holds
+        // the retired entry back.
+        laggard.slot.unpark();
+        EvalEnv::safepoint(&mut laggard);
+        cache.evict(f);
+        EvalEnv::safepoint(&mut poller);
+        assert_eq!(poller.view.generation(), cache.generation());
+        assert_eq!(cache.retired_len(), 1, "the laggard blocks reclamation");
+        // The laggard catches up; the poller's view is current, so only
+        // the retired entry sends its next poll down the slow path.
+        laggard.slot.poll(cache.generation());
+        EvalEnv::safepoint(&mut poller);
+        assert_eq!(cache.retired_len(), 0, "retired entry not reclaimed");
+        assert_eq!(cache.stats().reclaimed, 1);
+    }
+
+    #[test]
+    fn safepoint_polls_count_compiled_back_edges() {
+        let src = "method f 1 returns {
+                const 0 store 1
+            Lh:
+                load 1 load 0 ifcmp ge Ld
+                load 1 const 1 add store 1
+                goto Lh
+            Ld:
+                load 1 retv
+            }";
+        let mut v = vm(
+            src,
+            VmOptions {
+                metrics: MetricsHub::enabled(),
+                ..VmOptions::with_opt_level(OptLevel::Pea)
+            },
+        );
+        v.precompile_all(1);
+        let polls = |v: &Vm| v.metrics().on().unwrap().vm.safepoint_polls.get();
+        let mut edges = 0;
+        for n in [0, 1, 7, 100] {
+            assert_eq!(
+                v.call_entry("f", &[Value::Int(n)]).unwrap(),
+                Some(Value::Int(n))
+            );
+            edges += n as u64;
+            assert_eq!(polls(&v), edges, "after a loop of {n}");
+        }
+        assert_eq!(v.metrics().on().unwrap().vm.linear_exec.get(), 4);
     }
 }

@@ -1027,6 +1027,101 @@ fn linear_tier_agrees_with_graph_oracle_on_fuzz_seeds() {
     }
 }
 
+/// One precompiled run of `iterate(0..iters)` on `exec` under an optional
+/// fuel limit: the per-call outcomes and the final cycle count.
+fn fuel_run(
+    program: &Program,
+    exec: pea::vm::ExecMode,
+    fuel: Option<u64>,
+    iters: i64,
+) -> (Vec<Result<Option<Value>, VmError>>, u64) {
+    let mut options = VmOptions::with_opt_level(OptLevel::Pea);
+    options.exec_mode = exec;
+    options.fuel = fuel;
+    let mut vm = Vm::new(program.clone(), options);
+    vm.precompile_all(1);
+    let results = (0..iters)
+        .map(|i| vm.call_entry("iterate", &[Value::Int(i)]))
+        .collect();
+    (results, vm.stats().cycles)
+}
+
+/// Runs every fuel limit in `limits` on both compiled tiers and asserts
+/// they stop with `OutOfFuel` at identical cycle counts (and agree on
+/// every result otherwise). Returns how many limits ran out of fuel.
+fn assert_fuel_sweep_agrees(
+    label: &str,
+    program: &Program,
+    iters: i64,
+    limits: impl IntoIterator<Item = u64>,
+) -> usize {
+    let mut stopped = 0;
+    for limit in limits {
+        let linear = fuel_run(program, pea::vm::ExecMode::Linear, Some(limit), iters);
+        let graph = fuel_run(program, pea::vm::ExecMode::Graph, Some(limit), iters);
+        assert_eq!(
+            linear, graph,
+            "{label}: tiers disagree under fuel limit {limit}"
+        );
+        if linear.0.contains(&Err(VmError::OutOfFuel)) {
+            stopped += 1;
+        }
+    }
+    stopped
+}
+
+/// Exact (fuel-limited) mode charges every instruction on its own, so the
+/// linear tier's superinstructions must stop where the graph oracle
+/// stops: a limit may run out between a fused compare-and-branch's
+/// `ALU_OP` and `BRANCH_OP` charges, or at a loop back edge. The loop
+/// program is swept at every limit up to its unmetered total; corpus
+/// programs at dense windows around a few points of theirs.
+#[test]
+fn fuel_limit_sweep_stops_both_tiers_at_identical_cycles() {
+    let src = "method iterate 1 returns {
+            load 0 store 1
+            const 0 store 2
+        Lhead:
+            load 2 const 4 ifcmp ge Ldone
+            load 1 load 2 xor load 2 add store 1
+            load 1 const 13 mul load 1 add store 1
+            load 2 const 1 add store 2
+            goto Lhead
+        Ldone:
+            load 1 retv
+        }";
+    let program = pea::bytecode::asm::parse_program(src).unwrap();
+    pea::bytecode::verify_program(&program).unwrap();
+    let mut options = VmOptions::with_opt_level(OptLevel::Pea);
+    options.exec_mode = pea::vm::ExecMode::Linear;
+    let mut vm = Vm::new(program.clone(), options);
+    vm.precompile_all(1);
+    let method = program.static_method_by_name("iterate").unwrap();
+    let listing = vm
+        .compiled(method)
+        .and_then(|c| c.linear.as_ref())
+        .expect("loop lowers")
+        .disassemble();
+    assert!(
+        listing.contains("br.") && listing.contains("backedge"),
+        "the sweep must cross a fused branch and a back edge:\n{listing}"
+    );
+    let (_, total) = fuel_run(&program, pea::vm::ExecMode::Linear, None, 3);
+    let stopped = assert_fuel_sweep_agrees("loop", &program, 3, 0..=total + 1);
+    // Every limit below the total runs out; `total` and `total + 1` don't.
+    assert_eq!(stopped, total as usize);
+
+    let corpus = pea::workloads::all_workloads();
+    for w in corpus.iter().step_by(9) {
+        let (_, total) = fuel_run(&w.program, pea::vm::ExecMode::Linear, None, 2);
+        let limits = [total / 3, total * 2 / 3, total - 24]
+            .into_iter()
+            .flat_map(|base| base..base + 24);
+        let stopped = assert_fuel_sweep_agrees(&w.name, &w.program, 2, limits);
+        assert!(stopped > 0, "{}: no limit ran out of fuel", w.name);
+    }
+}
+
 /// Observability must be free: attaching a trace sink changes neither the
 /// results nor any runtime counter (the virtual-cycle cost model included),
 /// and a VM with tracing compiled in but disabled behaves identically.
